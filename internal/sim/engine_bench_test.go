@@ -77,30 +77,6 @@ func BenchmarkProcYield(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkCondSignalPingPong bounces two processes off each other through
-// a pair of condition variables: each op is one Signal wakeup (same-time
-// scheduling) plus a dispatch.
-//
-// Signal's handoff fast path (see Cond.Signal) keeps each wakeup out of the
-// event queues entirely when the woken process is provably next. Before/
-// after on the same idle host: 247 -> 243 ns/op. The gain is small here
-// because each op also pays a goroutine switch (~230 ns, the channel-based
-// baton transfer), which the fast path cannot remove; its structural win is
-// that a signal no longer touches the run queue, so wakeup cost stays flat
-// no matter how deep the event heap is at signal time.
-//
-// Treat single-run deltas on this row as noise: a CPU profile attributes
-// >85% of each op to the Go runtime's switch machinery (chansend/chanrecv,
-// casgstatus, scheduler locks), and identical binaries measure anywhere in
-// 260-320 ns/op across runs of this shared host — wider than the 243->256
-// "drift" once suspected between snapshots, which reproduced on unmodified
-// history and was measurement variance, not a regression. An attempt to
-// shave the remaining sim-side cost (consuming the handoff directly in the
-// scheduler loops, skipping the nop event and the wake slot) regressed
-// BenchmarkEngineCallbackEvents ~15% by pushing the 32-byte event value out
-// of registers — the cliff documented on the event struct — and was
-// abandoned; the regression gate (scripts/bench-regress.sh, 2x) is the
-// backstop that would catch a real one.
 // BenchmarkWindowBarrier measures the group scheduler's per-window
 // coordination cost: every shard re-chains one event per window
 // (self-rechaining After at exactly one lookahead), so every window has all
@@ -171,6 +147,19 @@ func BenchmarkEdgeDrain(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
 }
 
+// BenchmarkCondSignalPingPong bounces two processes off each other through
+// a pair of condition variables: each op is one Signal wakeup (same-time
+// scheduling) plus a dispatch.
+//
+// Signal's handoff fast path (see Cond.Signal) keeps each wakeup out of the
+// event queues entirely when the woken process is provably next, so the op
+// is dominated by the process switch itself. With processes as iter.Pull
+// coroutines that switch is a yield to the dispatcher plus a resume, with no
+// channel operation and no Go scheduler involvement. Before/after on one
+// 2-vCPU Xeon VM (Go 1.24.0), six alternating runs of each binary, median
+// ns/op: 336 with goroutines handed a baton over unbuffered channels, 197
+// with coroutines; 0 allocs/op in both. Single runs of this shared host
+// spread by about ±10%, so compare medians of interleaved runs.
 func BenchmarkCondSignalPingPong(b *testing.B) {
 	e := NewEngine(1)
 	a, c := &Cond{Name: "a"}, &Cond{Name: "b"}

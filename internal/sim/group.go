@@ -129,6 +129,15 @@ type shardWorker struct {
 // value. The spin budget keeps a multi-core hand-off out of the Go scheduler
 // entirely; the occasional Gosched keeps oversubscribed hosts (more shards
 // than CPUs) live while spinning.
+//
+// A wake token can be stale. A releaser bumps seq and only then looks at
+// parked; if it is descheduled in between, the owner may see the bump while
+// spinning, run the whole window, and park for its next command before the
+// releaser looks. The releaser then finds the new parked flag, takes it and
+// sends a token for a command already run. So a token means only "look
+// again", and the owner re-parks until seq has really moved. Each parked
+// store is taken by at most one CAS, and the owner consumes that CAS's token
+// before storing again, so at most one token is ever in flight.
 func (w *shardWorker) await(last uint32, spin int) uint32 {
 	for i := 0; i < spin; i++ {
 		if s := w.seq.Load(); s != last {
@@ -138,19 +147,20 @@ func (w *shardWorker) await(last uint32, spin int) uint32 {
 			runtime.Gosched()
 		}
 	}
-	w.parked.Store(1)
-	if s := w.seq.Load(); s != last {
-		// The release raced our parking. If the flag is still ours the
-		// releaser saw us unparked and sent no token; otherwise a token is
-		// in flight and must be consumed so the channel stays empty.
-		if w.parked.CompareAndSwap(1, 0) {
+	for {
+		w.parked.Store(1)
+		if s := w.seq.Load(); s != last {
+			// The release raced our parking. If the flag is still ours no
+			// releaser has taken it and no token is coming; otherwise a
+			// token is in flight and must be consumed so the channel stays
+			// empty.
+			if !w.parked.CompareAndSwap(1, 0) {
+				<-w.wake
+			}
 			return s
 		}
 		<-w.wake
-		return w.seq.Load()
 	}
-	<-w.wake
-	return w.seq.Load()
 }
 
 // Group coordinates a set of shard engines as one conservative parallel
@@ -175,7 +185,7 @@ type Group struct {
 
 	workers []*shardWorker
 	arrive  atomic.Int32 // barrier: participants yet to finish the window
-	runDone chan int     // decision-maker -> Run caller: doneAll/doneHorizon
+	runDone chan int     // decision-maker -> Run caller: the run's outcome
 	wg      sync.WaitGroup
 	spin    int  // per-wait spin budget (0 on a single-CPU host)
 	horizon Time // active Run's horizon (0 = none)
@@ -191,12 +201,14 @@ type Group struct {
 	spinWakes atomic.Int64
 	parkWakes atomic.Int64
 
-	// aborted is set by the first worker whose window panicked (a workload
-	// or lookahead-contract violation); panicVal carries the value so Run
-	// can re-raise it on its caller, exactly as the old inline coordinator
-	// did. A panicked worker never arrives at its barrier, so no sibling
-	// can become decision-maker afterwards; the panicking worker signals
-	// runDone itself.
+	// aborted is set by the first worker whose window panicked (a process
+	// panic, or a lookahead-contract violation); panicVal carries the value
+	// so Run can re-raise it on its caller. The panicking worker still
+	// arrives at the barrier, from its recover, and whoever arrives last
+	// reports doneAbort instead of deciding. Run thus hears of the abort
+	// only after every other participant of the window has finished it and
+	// is waiting for a command, so the exit release cannot overwrite the
+	// op or bound of a window that is still running.
 	aborted  atomic.Bool
 	panicVal any
 
@@ -334,8 +346,9 @@ func (g *Group) runShardWindow(w *shardWorker) {
 
 // release hands worker w its next command. The plain op/bound stores are
 // published by the atomic bump of the sense word; the parked CAS transfers
-// exactly one wake token when (and only when) the owner got past its spin
-// budget.
+// one wake token when the owner is parked. The owner may have parked again
+// for a later command by the time the CAS runs; await treats such a token
+// as a spurious wake-up.
 func (g *Group) release(w *shardWorker, op uint32, bound Time) {
 	w.op = op
 	w.bound = bound
@@ -359,7 +372,8 @@ func (g *Group) release(w *shardWorker, op uint32, bound Time) {
 func (g *Group) decide(self *shardWorker) {
 	for {
 		if g.aborted.Load() {
-			// A window panicked; the panicking worker has signalled Run.
+			// A window panicked and every participant has now arrived.
+			g.runDone <- doneAbort
 			return
 		}
 		// Fold the per-shard published minima with the heads of pending
@@ -435,7 +449,9 @@ func (g *Group) decide(self *shardWorker) {
 			if w == self {
 				// The decision-maker is the solo shard: run inline, still
 				// exclusive, and keep deciding. A chain of solo windows
-				// costs no hand-offs at all.
+				// costs no hand-offs at all. arrive counts the one
+				// participant only for the abort path (see worker).
+				g.arrive.Store(1)
 				w.bound = bound
 				w.eng.soloing = true
 				g.runShardWindow(w)
@@ -482,15 +498,15 @@ func (g *Group) worker(w *shardWorker, last uint32) {
 	defer g.wg.Done()
 	defer func() {
 		if r := recover(); r != nil {
-			// First panic wins; later ones (other shards of the same
-			// window) are dropped with their goroutines. The non-blocking
-			// send pairs with runDone's single reader.
+			// First panic wins. Arrive on behalf of the aborted window;
+			// the last arriver tells Run (see Group.aborted). A panic in
+			// decide outside any window happens with every other worker
+			// waiting and arrive at 0 or 1, so it reports at once.
 			if g.aborted.CompareAndSwap(false, true) {
 				g.panicVal = r
 			}
-			select {
-			case g.runDone <- doneAbort:
-			default:
+			if g.arrive.Add(-1) <= 0 {
+				g.runDone <- doneAbort
 			}
 		}
 	}()
@@ -557,10 +573,9 @@ func (g *Group) Run(horizon Time) error {
 	}
 	g.decide(nil)
 	outcome := <-g.runDone
-	// On a normal outcome every worker is parked and the group is exclusive
-	// again; on an abort, stragglers finish their window, fail to complete
-	// the barrier (the panicked shard never arrives), and park. Either way
-	// the sticky release below sends them home, and wg.Wait joins them.
+	// Every worker is now waiting for a command (or, after an abort, has
+	// returned from its panic), so the group is exclusive again: the sticky
+	// release below sends the workers home, and wg.Wait joins them.
 	for _, w := range g.workers {
 		g.release(w, opExit, 0)
 	}

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // groupPair builds a 2-shard group with one edge each way delivering into
@@ -378,6 +381,192 @@ func TestSignalHandoffOrder(t *testing.T) {
 	for i := range want {
 		if i >= len(order) || order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TestGroupAwaitIgnoresStaleToken replays a late releaser: it bumps the
+// worker's seq, the worker sees the bump while spinning and runs that
+// command, and only when the worker has parked for its next command does the
+// releaser reach its parked check and send a token. That token belongs to a
+// command already run, so the worker must keep waiting for the next real
+// release. Regression test: a worker that trusted the token re-ran its last
+// command and arrived at the barrier twice, which let a decision-maker start
+// while another shard was still inside its window.
+func TestGroupAwaitIgnoresStaleToken(t *testing.T) {
+	g := &Group{}
+	w := &shardWorker{wake: make(chan struct{}, 1)}
+	w.seq.Add(1) // the late releaser's bump, seen while spinning
+	if got := w.await(0, 1); got != 1 {
+		t.Fatalf("first await = %d, want 1", got)
+	}
+	done := make(chan uint32, 1)
+	go func() { done <- w.await(1, 0) }()
+	for w.parked.Load() != 1 {
+		runtime.Gosched()
+	}
+	if w.parked.CompareAndSwap(1, 0) { // the late releaser's parked check
+		w.wake <- struct{}{}
+	}
+	select {
+	case s := <-done:
+		t.Fatalf("await returned %d on a stale token, want it to wait for seq 2", s)
+	case <-time.After(20 * time.Millisecond):
+	}
+	g.release(w, opWindow, 0)
+	if s := <-done; s != 2 {
+		t.Fatalf("await = %d after the real release, want 2", s)
+	}
+	if len(w.wake) != 0 || w.parked.Load() != 0 {
+		t.Fatalf("after await: %d tokens queued, parked=%d; want none, 0", len(w.wake), w.parked.Load())
+	}
+}
+
+// TestGroupProcPanicReachesRunCaller: a panic inside a process on a shard
+// worker reaches the Group.Run caller through the group's abort path with
+// its value intact, while the other shard keeps running windows.
+func TestGroupProcPanicReachesRunCaller(t *testing.T) {
+	g := NewGroup(1, 2, 500)
+	a, b := g.Engines()[0], g.Engines()[1]
+	a.Go("bystander", func(p *Proc) {
+		for {
+			p.Advance(7)
+		}
+	})
+	b.Go("faulty", func(p *Proc) {
+		p.Advance(1000)
+		panic(procPanic{at: p.Now()})
+	})
+	r := recoverRun(func() { _ = g.Run(0) })
+	if r != (procPanic{at: 1000}) {
+		t.Fatalf("Group.Run panicked with %#v, want procPanic{at: 1000}", r)
+	}
+}
+
+// exchangeNodes is the number of logical processes in exchangeWorkload.
+const exchangeNodes = 6
+
+// exchangeWorkload spawns one process per logical node on engs[node%len]
+// (one engine: serial). Each process loops: compute (Advance), send a
+// message to another node at least one lookahead ahead, then wait for its
+// next incoming message. Messages travel through group Edges, or through
+// AfterKeyed on a serial engine with the same (lane, lanes) key, so both
+// modes order ties identically. Each node records (time, node, payload) for
+// every receipt and resume; the records are per node, so shards never share
+// a slice. crossRun counts, per node, the resumptions in a later run than
+// the park, read through *run, which the caller bumps between runs.
+func exchangeWorkload(engs []*Engine, g *Group, run *int) (trace [][]string, crossRun []int) {
+	const rounds = 5 * (exchangeNodes - 1)
+	const lookahead = 500
+	eng := func(n int) *Engine { return engs[n%len(engs)] }
+	trace = make([][]string, exchangeNodes)
+	crossRun = make([]int, exchangeNodes)
+	inbox := make([][]int, exchangeNodes)
+	conds := make([]*Cond, exchangeNodes)
+	for n := range conds {
+		conds[n] = &Cond{Name: fmt.Sprintf("inbox-%d", n)}
+	}
+	deliver := func(dst int, payload int) {
+		inbox[dst] = append(inbox[dst], payload)
+		trace[dst] = append(trace[dst], fmt.Sprintf("%d n%d recv %d", eng(dst).Now(), dst, payload))
+		conds[dst].Signal()
+	}
+	// One lane per ordered (src, dst) pair, in (src, dst) order; the
+	// src == dst lanes exist but carry nothing.
+	lane := func(src, dst int) int { return src*exchangeNodes + dst }
+	const lanes = exchangeNodes * exchangeNodes
+	var edges []*Edge
+	if g != nil {
+		for src := 0; src < exchangeNodes; src++ {
+			for dst := 0; dst < exchangeNodes; dst++ {
+				dst := dst
+				edges = append(edges, g.Edge(eng(src), eng(dst), func(x any) { deliver(dst, x.(int)) }))
+			}
+		}
+	}
+	send := func(src, dst int, d Time, payload int) {
+		e := eng(src)
+		if g != nil {
+			edges[lane(src, dst)].Send(e.Now()+d, payload)
+			return
+		}
+		e.AfterKeyed(d, uint64(lane(src, dst)), lanes, func() { deliver(dst, payload) })
+	}
+	for n := 0; n < exchangeNodes; n++ {
+		n := n
+		eng(n).Go(fmt.Sprintf("n%d", n), func(p *Proc) {
+			for i := 0; i < rounds; i++ {
+				p.Advance(Time(50 + (n*37+i*11)%200))
+				dst := (n + 1 + i%(exchangeNodes-1)) % exchangeNodes
+				send(n, dst, Time(lookahead+(n*13+i*7)%100), n*1000+i)
+				for len(inbox[n]) == 0 {
+					parkedIn := *run
+					conds[n].Wait(p)
+					if *run != parkedIn {
+						crossRun[n]++
+					}
+				}
+				inbox[n] = inbox[n][1:]
+				trace[n] = append(trace[n], fmt.Sprintf("%d n%d resume %d", p.Now(), n, i))
+			}
+		})
+	}
+	return trace, crossRun
+}
+
+// TestGroupProcResumesAcrossRuns drives processes on 2 and 3 shards, which
+// exchange Edge traffic, through a ladder of Group.Run horizons — the way
+// hw.Cluster.RunChecked slices a simulation into watchdog budgets. Shard
+// workers are respawned per Run, so a process parked in one Run is resumed
+// by a different goroutine in the next. The recorded trace must equal that
+// of one Run(0) on a group of the same shape, and of a serial engine.
+func TestGroupProcResumesAcrossRuns(t *testing.T) {
+	flatten := func(trace [][]string) string {
+		var all []string
+		for _, tr := range trace {
+			all = append(all, tr...)
+		}
+		return strings.Join(all, "\n")
+	}
+	run := 0
+	e := NewEngine(1)
+	serial, _ := exchangeWorkload([]*Engine{e}, nil, &run)
+	if err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := flatten(serial)
+	if want == "" {
+		t.Fatal("serial run recorded nothing")
+	}
+	for _, shards := range []int{2, 3} {
+		for _, ladder := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d/ladder=%v", shards, ladder)
+			g := NewGroup(1, shards, 500)
+			run = 0
+			trace, crossRun := exchangeWorkload(g.Engines(), g, &run)
+			if !ladder {
+				if err := g.Run(0); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			} else {
+				for horizon := Time(700); g.Pending() || run == 0; horizon += 700 {
+					if err := g.Run(horizon); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					run++
+				}
+				resumed := 0
+				for _, c := range crossRun {
+					resumed += c
+				}
+				if run < 10 || resumed == 0 {
+					t.Fatalf("%s: %d runs, %d cross-run resumptions; want a ladder that parks procs across runs",
+						name, run, resumed)
+				}
+			}
+			if got := flatten(trace); got != want {
+				t.Fatalf("%s: trace differs from the serial engine\ngot:\n%s\nwant:\n%s", name, got, want)
+			}
 		}
 	}
 }

@@ -2,8 +2,21 @@ package sim
 
 import (
 	"container/heap"
+	"reflect"
 	"testing"
+	"unsafe"
 )
+
+// TestEventIsFourWords pins the event layout the scheduler's speed depends
+// on: the compiler keeps a struct of up to four words in registers, and a
+// fifth field costs ~4x on BenchmarkProcAdvance (see the event comment).
+func TestEventIsFourWords(t *testing.T) {
+	n := reflect.TypeOf(event{}).NumField()
+	size := unsafe.Sizeof(event{})
+	if want := 3*unsafe.Sizeof(Time(0)) + unsafe.Sizeof(uintptr(0)); n != 4 || size != want {
+		t.Fatalf("event has %d fields, %d bytes; want 4 fields, %d bytes", n, size, want)
+	}
+}
 
 // refEvent / refHeap reimplement the kernel's original container/heap
 // scheduler: boxed events ordered by (at, seq). The inline 4-ary heap and

@@ -1,13 +1,22 @@
+// The go1.23 constraint marks this file as the one that needs iter.Pull,
+// which the module's go 1.22 line predates; the toolchain line in go.mod
+// selects a Go that has it.
+
+//go:build go1.23
+
 package sim
+
+import "iter"
 
 // Proc is a simulated process: a sequential program whose execution is
 // interleaved with others only at explicit virtual-time operations
-// (Advance, Wait, ...). A Proc must only be used from its own goroutine.
+// (Advance, Wait, ...). Its body runs as a coroutine (iter.Pull), resumed by
+// whichever goroutine runs the engine; the parking operations (Advance,
+// Yield, Cond.Wait, Detach) must only be called from the proc's own body.
 type Proc struct {
 	eng      *Engine
 	name     string
 	daemon   bool
-	resume   chan struct{}
 	finished bool
 	parkedAt string // wait reason while parked on a Cond (diagnostics)
 
@@ -16,6 +25,28 @@ type Proc struct {
 	// as a func() keeps the event struct at four fields, which the compiler
 	// can hold in registers (see the event comment in sim.go).
 	wakeFn func()
+
+	// next resumes the body from the dispatcher (Engine.dispatch); yield,
+	// called by the body in Engine.exec, suspends it and returns control
+	// there.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+}
+
+// start makes fn the body of p's coroutine. The body starts on the first
+// resume (its spawn wakeup) and, when it finishes, simply returns to
+// whichever dispatcher resumed it last. The stop function is never needed: a
+// finished body has already returned, and a proc parked forever (daemon or
+// Detach) stays suspended for the life of the process.
+func (p *Proc) start(fn func(p *Proc)) {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		fn(p)
+		p.finished = true
+		if !p.daemon {
+			p.eng.live--
+		}
+	})
 }
 
 // Name returns the process name given at spawn time.
@@ -24,7 +55,7 @@ func (p *Proc) Name() string { return p.name }
 // Detach permanently parks the calling process and never returns. The
 // process is reclassified as a daemon — it no longer counts toward the
 // engine's live-workload total, so the run can complete (and deadlock
-// detection stays meaningful) while the goroutine stays parked forever.
+// detection stays meaningful) while the coroutine stays suspended forever.
 // It models a fail-stop node: the program simply ceases, mid-call, with
 // reason recorded for diagnostics.
 func (p *Proc) Detach(reason string) {
@@ -34,7 +65,7 @@ func (p *Proc) Detach(reason string) {
 	}
 	p.parkedAt = reason
 	// No wakeup is ever scheduled: park runs the scheduler loop until the
-	// baton moves elsewhere, then blocks on the resume channel for good.
+	// baton moves elsewhere, then yields and is never resumed.
 	p.park()
 	panic("sim: detached process resumed")
 }
@@ -45,9 +76,9 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// park deschedules p: the goroutine keeps the baton and runs the scheduler
-// loop itself, returning as soon as p's next wakeup fires (possibly without
-// ever switching goroutines — see Engine.exec).
+// park deschedules p: the proc keeps the baton and runs the scheduler loop
+// itself, returning as soon as p's next wakeup fires (possibly without ever
+// leaving its coroutine — see Engine.exec).
 func (p *Proc) park() {
 	p.eng.exec(p)
 }

@@ -4,10 +4,10 @@
 //
 // The kernel follows the classic process-interaction style: simulated
 // programs are written as ordinary sequential Go code running in a Proc
-// (backed by a goroutine), and virtual time advances only through the event
-// queue. Exactly one goroutine — the engine or a single process — executes
-// at any instant; control is handed off synchronously through channels, so a
-// simulation is fully deterministic and reproducible.
+// (backed by an iter.Pull coroutine), and virtual time advances only through
+// the event queue. Exactly one of the dispatcher or a single process executes at
+// any instant; control moves by coroutine resume and yield, never through
+// the Go scheduler, so a simulation is fully deterministic and reproducible.
 //
 // Events live in a value-typed arena ordered by an inline 4-ary min-heap on
 // (at, pushAt, seq); same-time wakeups (Advance(0), Cond.Signal) bypass the heap
@@ -40,8 +40,8 @@ func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a single scheduled occurrence. Exactly one of fn and proc is set:
-// Callback events run inline in the engine goroutine (used by hardware
+// event is a single scheduled occurrence, either a callback or a process
+// wakeup. Callback events run inline in the scheduler loop (used by hardware
 // pipeline stages); process wakeups carry the proc's preallocated wake
 // closure, which deposits the proc in Engine.wake for the scheduler loop to
 // switch to. Events are plain values — they live in the heap arena or the
@@ -99,12 +99,16 @@ func nop() {}
 // Engine owns the virtual clock and the event queue and drives all
 // processes.
 //
-// Control transfer is baton-passing: whichever goroutine is executing — the
-// Run caller or a process that just parked — runs the scheduler loop itself
-// and switches directly to the next process, rather than bouncing every
-// event through a central engine goroutine. A process whose own wakeup is
-// the next event simply keeps running (zero goroutine switches), and a
-// proc-to-proc wakeup costs one switch instead of two.
+// Control transfer is baton-passing over coroutines: whoever is executing —
+// the dispatcher or a process that just parked — runs the scheduler loop
+// itself. A process whose own wakeup is the next event simply keeps running
+// (zero switches). When another process is woken, the parked one records it
+// as the baton and yields to the dispatcher, which resumes it: a coroutine
+// yield plus a resume, with no channel operation and no trip through the Go
+// scheduler. The dispatcher is the Run caller, or the shard worker inside
+// runWindow; since procs are only ever resumed from the dispatcher, a proc
+// parked in one Group.Run may be resumed by a different worker goroutine in
+// the next.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -130,7 +134,9 @@ type Engine struct {
 	// event struct carry only a callback (see the event comment).
 	wake *Proc
 
-	parked chan struct{} // last executor -> Run caller: "this run is over"
+	// baton is the process a parking process hands control to: exec
+	// records it and yields, and the dispatcher resumes it (see dispatch).
+	baton *Proc
 
 	// handoff, when non-nil, is a process wakeup that bypassed the queues
 	// entirely: Cond.Signal parks it here when the woken process would be
@@ -140,9 +146,8 @@ type Engine struct {
 	// (see BenchmarkCondSignalPingPong).
 	handoff *Proc
 
-	procs   []*Proc
-	live    int // workload (non-daemon) procs that have not finished
-	running *Proc
+	procs []*Proc
+	live  int // workload (non-daemon) procs that have not finished
 
 	rng *Rand
 
@@ -170,9 +175,8 @@ type Engine struct {
 // events among same-(at, pushAt) ties, in both execution modes.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		parked: make(chan struct{}),
-		seq:    crossSeqBase,
-		rng:    NewRand(seed),
+		seq: crossSeqBase,
+		rng: NewRand(seed),
 	}
 }
 
@@ -240,7 +244,7 @@ func (e *Engine) AfterKeyed(d Time, lane, lanes uint64, fn func()) {
 	e.heapPush(event{at: e.now + d, pushAt: e.now, seq: uint64(e.curPushAt)*lanes + lane, fn: fn})
 }
 
-// At schedules fn to run in the engine goroutine at virtual time t. If t is
+// At schedules fn to run inline in the scheduler loop at virtual time t. If t is
 // in the past it runs at the current time (after already-queued same-time
 // events).
 func (e *Engine) At(t Time, fn func()) { e.push(t, fn) }
@@ -348,54 +352,15 @@ func (e *Engine) nextEvent() (event, bool) {
 	return ev, true
 }
 
-// exec is the scheduler loop as run by a process goroutine, entered when
-// self parks (or finishes, with self.finished set). It executes events until
-// one of three things happens: self's own wakeup fires (return, keep
-// running — no goroutine switch), control passes to another process (one
-// direct switch; block until re-dispatched), or the run is over (hand the
-// baton back to the Run caller and block). A pending handoff (a Signal that
-// bypassed the queues) is consumed first, inside nextEvent.
+// exec is the scheduler loop as run by a process, entered when self parks.
+// It executes events until one of three things happens: self's own wakeup
+// fires (return, keep running — no coroutine switch), another process is
+// woken (record it as the baton and yield to the dispatcher, which resumes it),
+// or the run is over (yield with no baton). Either way self stays suspended
+// until a dispatcher resumes it, which happens only when its own wakeup fires.
+// A pending handoff (a Signal that bypassed the queues) is consumed first,
+// inside nextEvent.
 func (e *Engine) exec(self *Proc) {
-	for {
-		ev, ok := e.nextEvent()
-		if !ok {
-			e.running = nil
-			e.parked <- struct{}{}
-			if self.finished {
-				return
-			}
-			<-self.resume
-			return
-		}
-		e.EventsRun++
-		ev.fn()
-		q := e.wake
-		if q == nil {
-			continue
-		}
-		e.wake = nil
-		if q.finished {
-			continue
-		}
-		e.running = q
-		if q == self {
-			return
-		}
-		q.resume <- struct{}{}
-		if self.finished {
-			return
-		}
-		<-self.resume
-		return
-	}
-}
-
-// Run executes events until the queue is empty or the optional horizon is
-// reached (horizon <= 0 means no horizon). It returns an error if workload
-// processes remain blocked when no more events can occur (a deadlock), with
-// a diagnosis of what each blocked process was waiting for.
-func (e *Engine) Run(horizon Time) error {
-	e.horizon = horizon
 	for {
 		ev, ok := e.nextEvent()
 		if !ok {
@@ -411,13 +376,55 @@ func (e *Engine) Run(horizon Time) error {
 		if q.finished {
 			continue
 		}
-		// Hand the baton to q; it (or whichever process executes last)
-		// returns it when the run is over.
-		e.running = q
-		q.resume <- struct{}{}
-		<-e.parked
+		if q == self {
+			return
+		}
+		e.baton = q
 		break
 	}
+	self.yield(struct{}{})
+}
+
+// dispatch is the scheduler loop as run by the dispatching goroutine — the
+// Run caller, or a shard worker inside runWindow. It executes events until a
+// process is woken, then resumes processes for as long as each one hands
+// the baton straight to the next, and returns when no event is left inside
+// the horizon. A process that finishes or finds the run over yields (or
+// returns) with no baton, and the loop goes back to the queues; nextEvent
+// is idempotent once it has reported the run over, so asking again is
+// harmless.
+func (e *Engine) dispatch() {
+	for {
+		ev, ok := e.nextEvent()
+		if !ok {
+			return
+		}
+		e.EventsRun++
+		ev.fn()
+		q := e.wake
+		if q == nil {
+			continue
+		}
+		e.wake = nil
+		if q.finished {
+			continue
+		}
+		for q != nil {
+			e.baton = nil
+			q.next()
+			q = e.baton
+		}
+	}
+}
+
+// Run executes events until the queue is empty or the optional horizon is
+// reached (horizon <= 0 means no horizon). It returns an error if workload
+// processes remain blocked when no more events can occur (a deadlock), with
+// a diagnosis of what each blocked process was waiting for. A panic inside
+// a process propagates to the Run caller with its value intact.
+func (e *Engine) Run(horizon Time) error {
+	e.horizon = horizon
+	e.dispatch()
 	if horizon > 0 && len(e.events) > 0 && e.events[0].at > horizon {
 		e.now = horizon
 		return nil
@@ -436,27 +443,7 @@ func (e *Engine) Run(horizon Time) error {
 // loop observes on the next pop.
 func (e *Engine) runWindow(bound Time) {
 	e.horizon = bound - 1
-	for {
-		ev, ok := e.nextEvent()
-		if !ok {
-			return
-		}
-		e.EventsRun++
-		ev.fn()
-		q := e.wake
-		if q == nil {
-			continue
-		}
-		e.wake = nil
-		if q.finished {
-			continue
-		}
-		e.running = q
-		q.resume <- struct{}{}
-		// The baton comes back only when no window events remain.
-		<-e.parked
-		return
-	}
+	e.dispatch()
 }
 
 // nextTime reports the time of the engine's earliest pending event (the
@@ -521,24 +508,13 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		eng:    e,
 		name:   name,
 		daemon: daemon,
-		resume: make(chan struct{}),
 	}
 	p.wakeFn = func() { e.wake = p }
+	p.start(fn)
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.live++
 	}
-	go func() {
-		<-p.resume // wait for first dispatch
-		fn(p)
-		p.finished = true
-		if !daemon {
-			e.live--
-		}
-		// The finished process still holds the baton: keep executing events
-		// until control moves to another goroutine, then exit.
-		e.exec(p)
-	}()
 	e.schedule(p, e.now)
 	return p
 }

@@ -132,6 +132,36 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// procPanic is a distinctive panic value: the tests below check that the
+// very value raised inside a process reaches the Run caller.
+type procPanic struct{ at Time }
+
+// recoverRun calls run and returns whatever it panicked with.
+func recoverRun(run func()) (r any) {
+	defer func() { r = recover() }()
+	run()
+	return nil
+}
+
+// TestProcPanicReachesRunCaller: a panic inside a process propagates out of
+// Engine.Run with its value intact, after the events before it ran.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine(1)
+	e.Go("bystander", func(p *Proc) {
+		for {
+			p.Advance(7)
+		}
+	})
+	e.Go("faulty", func(p *Proc) {
+		p.Advance(100)
+		panic(procPanic{at: p.Now()})
+	})
+	r := recoverRun(func() { _ = e.Run(0) })
+	if r != (procPanic{at: 100}) {
+		t.Fatalf("Run panicked with %#v, want procPanic{at: 100}", r)
+	}
+}
+
 func TestServerFIFOAndOccupancy(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e)
