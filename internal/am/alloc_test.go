@@ -59,6 +59,23 @@ func BenchmarkPollEmpty(b *testing.B) {
 	c.Run()
 }
 
+// BenchmarkPollUntilIdle reports the host cost of one idle poll inside a
+// PollUntil run on an 8-node cluster (the KV benchmark's size): each op is
+// one AdvanceWhile re-arm plus the idle test over seven peers and the
+// poll's bookkeeping, with no process switch.
+func BenchmarkPollUntilIdle(b *testing.B) {
+	c := hw.NewCluster(hw.DefaultConfig(8))
+	sys := am.New(c)
+	b.ReportAllocs()
+	c.Spawn(0, "poller", func(p *sim.Proc, n *hw.Node) {
+		ep := sys.EPs[0]
+		ep.PollUntil(p, p.Now()+64*am.PollEmptyCost())
+		b.ResetTimer()
+		ep.PollUntil(p, p.Now()+sim.Time(b.N)*am.PollEmptyCost())
+	})
+	c.Run()
+}
+
 // echoPair builds a 2-node cluster with a request handler that replies and
 // returns (cluster, system, request id, reply counter pointer).
 func echoPair(cfg hw.Config) (*hw.Cluster, *am.System, am.HandlerID, *int) {
@@ -130,6 +147,64 @@ func TestShortEchoZeroAlloc(t *testing.T) {
 	}
 	if rttSamples == 0 {
 		t.Fatal("no Karn-valid RTT samples taken inside the measured window; the guard no longer covers the estimator path")
+	}
+}
+
+// TestPollUntilZeroAlloc is the guard for idle-poll runs: echo round trips
+// whose reply waits are PollUntil loops, each followed by a deadline-bounded
+// run of idle polls, against a peer that serves from PollUntil too. With
+// tracing and metrics off the idle path — the AdvanceWhile re-arm, the idle
+// test and the per-poll bookkeeping — performs zero heap allocations.
+func TestPollUntilZeroAlloc(t *testing.T) {
+	c, sys, reqH, replies := echoPair(hw.DefaultConfig(2))
+	stop := false
+	var delta uint64
+	var polls, calls int64
+	c.Spawn(0, "req", func(p *sim.Proc, n *hw.Node) {
+		ep := sys.EPs[0]
+		round := func(i int) {
+			want := *replies + 1
+			ep.Request(p, 1, reqH, uint32(i))
+			for *replies < want {
+				ep.PollUntil(p, sim.Forever)
+				calls++
+			}
+			ep.PollUntil(p, p.Now()+50*am.PollEmptyCost())
+			calls++
+		}
+		for i := 0; i < 512; i++ {
+			round(i)
+		}
+		// Up to three measurement windows, as in TestShortEchoZeroAlloc.
+		var before, after runtime.MemStats
+		for attempt := 0; attempt < 3; attempt++ {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			polls0, calls0 := ep.Stats.Polls, calls
+			for i := 0; i < 500; i++ {
+				round(i)
+			}
+			runtime.ReadMemStats(&after)
+			delta = after.Mallocs - before.Mallocs
+			polls, calls = ep.Stats.Polls-polls0, calls-calls0
+			if delta == 0 {
+				break
+			}
+		}
+		stop = true
+	})
+	c.Spawn(1, "svc", func(p *sim.Proc, n *hw.Node) {
+		ep := sys.EPs[1]
+		for !stop {
+			ep.PollUntil(p, p.Now()+100*am.PollEmptyCost())
+		}
+	})
+	c.Run()
+	if delta != 0 {
+		t.Fatalf("%d heap allocations across 500 PollUntil echo rounds with observability off, want 0", delta)
+	}
+	if polls < 10*calls {
+		t.Fatalf("%d polls in %d PollUntil calls; the guard no longer covers idle-poll runs", polls, calls)
 	}
 }
 

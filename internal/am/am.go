@@ -84,6 +84,10 @@ type System struct {
 	EPs     []*Endpoint
 	Opt     Options
 
+	// ackReqAt and ackRepAt are the unacknowledged-packet counts that owe
+	// an explicit ack: a quarter of each receive window.
+	ackReqAt, ackRepAt int
+
 	// met holds the cached metric handles when EnableMetrics was called
 	// (nil = metrics off, free).
 	met *sysMetrics
@@ -94,12 +98,13 @@ func New(c *hw.Cluster) *System { return NewWithOptions(c, DefaultOptions()) }
 
 // NewWithOptions builds the AM layer with explicit protocol options.
 func NewWithOptions(c *hw.Cluster, opt Options) *System {
-	s := &System{Cluster: c, Opt: opt}
+	s := &System{Cluster: c, Opt: opt, ackReqAt: opt.wndRequest() / 4, ackRepAt: opt.wndReply() / 4}
 	if DefaultMetrics != nil {
 		s.EnableMetrics(DefaultMetrics)
 	}
 	for _, n := range c.Nodes {
 		ep := &Endpoint{sys: s, node: n, n: len(c.Nodes)}
+		ep.idleTickFn = ep.idleTick
 		ep.peers = make([]*peerState, len(c.Nodes))
 		for i := range ep.peers {
 			ep.peers[i] = newPeerState(opt)
@@ -151,6 +156,14 @@ type Endpoint struct {
 	pendingCommit int                   // staged FIFO entries not yet committed
 	drainArmed    bool                  // Drain has installed the arrival hook
 	drainBusy     bool                  // a post-drain service proc is running
+
+	// Idle-poll state (see pollEmpty): idleTickFn is idleTick bound once,
+	// so parking a poll allocates nothing.
+	idleTickFn func() bool
+	idleUntil  sim.Time
+	idleTicks  int64
+	idleParked int
+	idleClash  bool
 
 	// errHandler, when set, is invoked once per peer declared dead (see
 	// SetErrorHandler).

@@ -31,6 +31,11 @@ var (
 	costRawRecv    = hw.US(1.30) // raw per-message receive handling
 )
 
+// PollEmptyCost is the simulated time of one idle poll. The k-th poll of a
+// PollUntil whose polls are all idle ends exactly k PollEmptyCost after the
+// call, so a caller can cap the number of polls through until.
+func PollEmptyCost() sim.Time { return costPollEmpty }
+
 // lazyPopBatch is how many receive-FIFO entries are popped per MicroChannel
 // access; the paper pops "lazily (after some fixed number of messages
 // polled) to reduce the number of microchannel accesses".

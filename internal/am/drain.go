@@ -50,15 +50,15 @@ func (ep *Endpoint) localQuiescent() bool {
 // ranges still unacknowledged. Each poll advances the simulated clock, so
 // the deadline is always reached — Drain cannot wedge.
 func (ep *Endpoint) Drain(p *sim.Proc, budget sim.Time) error {
-	var deadline sim.Time
+	deadline := sim.Forever
 	if budget > 0 {
 		deadline = ep.node.Eng.Now() + budget
 	}
 	for !ep.localQuiescent() || ep.node.Adapter.RecvLen() > 0 {
-		if deadline > 0 && ep.node.Eng.Now() >= deadline {
+		if ep.node.Eng.Now() >= deadline {
 			return &DrainTimeoutError{Node: ep.ID(), Budget: budget, Pending: ep.pendingSummary()}
 		}
-		ep.Poll(p)
+		ep.PollUntil(p, deadline)
 	}
 	if ep.drainArmed {
 		return nil
@@ -71,7 +71,7 @@ func (ep *Endpoint) Drain(p *sim.Proc, budget sim.Time) error {
 		ep.drainBusy = true
 		ep.node.Eng.GoDaemon("am-drain-service", func(sp *sim.Proc) {
 			for !ep.localQuiescent() || ep.node.Adapter.RecvLen() > 0 {
-				ep.Poll(sp)
+				ep.PollUntil(sp, sim.Forever)
 			}
 			ep.drainBusy = false
 		})

@@ -19,21 +19,37 @@ func (ep *Endpoint) emit(k trace.Kind, pkt, arg int64, class string) {
 // acknowledgements, issues flow-control traffic, and advances pending
 // outgoing work. Polling an empty network costs 1.3 µs plus about 1.8 µs
 // per received message (paper §2.5).
-func (ep *Endpoint) Poll(p *sim.Proc) {
+func (ep *Endpoint) Poll(p *sim.Proc) { ep.poll(p, 0) }
+
+// PollUntil polls once, then keeps polling for as long as each poll is idle
+// (see idle) and the clock is below until, and returns the number of polls
+// made. It is exactly a loop of Poll calls that stops after the first poll
+// that does any work or ends at or past until, so a wait loop
+//
+//	for !done() { ep.Poll(p) }
+//
+// may become
+//
+//	for !done() { ep.PollUntil(p, until) }
+//
+// whenever its body does nothing else after an idle poll while the clock is
+// below until: done cannot change without a handler running, and until is
+// the earliest time the caller has work of its own (sim.Forever for none).
+// The idle polls run as one AdvanceWhile, so the process is not resumed
+// between them, while every counter, metric, trace event and event key is
+// what the Poll loop would have produced.
+func (ep *Endpoint) PollUntil(p *sim.Proc, until sim.Time) int { return ep.poll(p, until) }
+
+func (ep *Endpoint) poll(p *sim.Proc, until sim.Time) int {
 	if ep.node.Killed() {
 		// Fail-stopped node: the program never runs another instruction.
 		// Detach parks the process forever and reclassifies it as a daemon
 		// so the rest of the simulation can finish without it.
 		p.Detach("fail-stopped (killed)")
 	}
-	ep.Stats.Polls++
-	ep.emit(trace.EvPollStart, 0, 0, "")
+	ep.pollStart()
+	polls := ep.pollEmpty(p, until)
 	ad := ep.node.Adapter
-	if m := ep.sys.met; m != nil {
-		m.polls.Inc()
-		m.recvFIFO.Observe(int64(ad.RecvLen()))
-	}
-	ep.node.ComputeUnscaled(p, costPollEmpty)
 	got := 0
 	for {
 		pkt := ad.RecvPeek()
@@ -53,6 +69,23 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 	}
 	ep.drainAll(p)
 	ep.explicitAcks(p)
+	ep.pollEnd(got)
+	return polls
+}
+
+// pollStart is the accounting at the head of every poll.
+func (ep *Endpoint) pollStart() {
+	ep.Stats.Polls++
+	ep.emit(trace.EvPollStart, 0, 0, "")
+	if m := ep.sys.met; m != nil {
+		m.polls.Inc()
+		m.recvFIFO.Observe(int64(ep.node.Adapter.RecvLen()))
+	}
+}
+
+// pollEnd is the accounting at the tail of every poll that drained got
+// packets.
+func (ep *Endpoint) pollEnd(got int) {
 	if m := ep.sys.met; m != nil {
 		m.pollBatch.Observe(int64(got))
 		if got == 0 {
@@ -60,6 +93,97 @@ func (ep *Endpoint) Poll(p *sim.Proc) {
 		}
 	}
 	ep.emit(trace.EvPollEnd, 0, int64(got), "")
+}
+
+// pollEmpty charges the empty-poll cost of the poll just started and, when
+// until lies ahead, the whole run of idle polls after it (see idleTick). It
+// returns the number of polls charged; the caller finishes the last one.
+//
+// idleUntil and idleTicks are endpoint state shared by every process polling
+// the endpoint. Should a second process start an idle run while one is
+// parked in its own (a post-Drain service process beside a program still
+// polling), idleClash stops every idle run until both have left: a run that
+// ends early is always exact, since its caller just polls again. A single
+// poll touches none of this state, so it needs no such guard.
+func (ep *Endpoint) pollEmpty(p *sim.Proc, until sim.Time) int {
+	if until <= ep.node.Eng.Now()+costPollEmpty {
+		// The deadline falls before this poll ends, so no idle poll can
+		// follow it: a plain Advance charges it, touching no idle state.
+		ep.node.ComputeUnscaled(p, costPollEmpty)
+		return 1
+	}
+	if ep.idleParked > 0 {
+		ep.idleClash = true
+	}
+	ep.idleParked++
+	ep.idleUntil = until
+	start := ep.idleTicks
+	p.AdvanceWhile(costPollEmpty, ep.idleTickFn)
+	if ep.idleParked--; ep.idleParked == 0 {
+		ep.idleClash = false
+	}
+	return 1 + int(ep.idleTicks-start)
+}
+
+// idleTick runs when a poll's empty-poll cost has elapsed. If that poll is
+// idle and the clock is below the deadline, it performs the poll's tail and
+// the next poll's head — all an idle poll does — and reports true so the
+// process stays parked for the next poll's cost. Otherwise it changes
+// nothing and the process resumes to finish the poll itself.
+func (ep *Endpoint) idleTick() bool {
+	if ep.idleClash || ep.node.Eng.Now() >= ep.idleUntil {
+		return false
+	}
+	idle, streaks := ep.idle()
+	if !idle {
+		return false
+	}
+	ep.Stats.EmptyPolls++
+	if streaks {
+		ep.keepAlive(nil) // streak bookkeeping only: idle ruled out every probe
+	}
+	ep.pollEnd(0)
+	ep.pollStart()
+	ep.idleTicks++
+	return true
+}
+
+// idle reports whether finishing the current poll now would only do
+// bookkeeping: nothing has arrived, the node is alive, no FIFO entry awaits
+// commit, and toward every live peer nothing is injectable before an ack
+// opens the window (see windowStalled), no explicit ack is owed, and no
+// keep-alive probe (or death declaration) becomes due with this poll's
+// streak bump. drainAll, explicitAcks and keepAlive then charge no time
+// and send nothing, and the caller polls again at once. streaks reports
+// whether keepAlive still has bookkeeping to do: a streak to bump, or a
+// stale streak or probe round to clear.
+func (ep *Endpoint) idle() (idle, streaks bool) {
+	if ep.node.Adapter.RecvLen() != 0 || ep.pendingCommit != 0 || ep.node.Killed() {
+		return false, false
+	}
+	now := ep.node.Eng.Now()
+	for _, ps := range ep.peers {
+		if ps.deathErr != nil {
+			continue
+		}
+		if ps.forceAck || ep.ackOwed(ps) {
+			return false, false
+		}
+		req, rep := &ps.tx[chReq], &ps.tx[chRep]
+		if req.q.Len()|req.retx.Len()|rep.q.Len()|rep.retx.Len() != 0 &&
+			!(req.windowStalled() && rep.windowStalled()) {
+			return false, false
+		}
+		if req.saved.Len()|rep.saved.Len() != 0 {
+			if ep.probeDue(ps, ps.emptyStreak+1, now) {
+				return false, false
+			}
+			streaks = true
+		} else if ps.emptyStreak|ps.probeRounds != 0 || ps.nextProbeAt != 0 {
+			streaks = true
+		}
+	}
+	return true, streaks
 }
 
 // chargePop accounts the lazy receive-FIFO pop: entries are flushed and
@@ -369,13 +493,33 @@ func (ep *Endpoint) explicitAcks(p *sim.Proc) {
 		if ps.deathErr != nil {
 			continue
 		}
-		need := ps.forceAck ||
-			ps.rx[chReq].unackedPkts >= ep.sys.Opt.wndRequest()/4 ||
-			ps.rx[chRep].unackedPkts >= ep.sys.Opt.wndReply()/4
-		if need {
+		if ps.forceAck || ep.ackOwed(ps) {
 			ep.sendCtrl(p, id, kAck, 0, chReq)
 		}
 	}
+}
+
+// ackOwed reports whether a quarter of either receive window from ps is
+// still unacknowledged.
+func (ep *Endpoint) ackOwed(ps *peerState) bool {
+	return ps.rx[chReq].unackedPkts >= ep.sys.ackReqAt || ps.rx[chRep].unackedPkts >= ep.sys.ackRepAt
+}
+
+// probeDue reports whether a keep-alive round toward ps is due once its
+// empty-poll streak reaches streak: the streak has met the round's
+// backed-off threshold and, past round 0, the round's RTO wait has passed.
+func (ep *Endpoint) probeDue(ps *peerState, streak int, now sim.Time) bool {
+	r := ep.probeShift(ps)
+	return streak >= ep.sys.Opt.keepAlivePolls()<<r && (r == 0 || now >= ps.nextProbeAt)
+}
+
+// probeShift is the backoff exponent of ps's next probe round.
+func (ep *Endpoint) probeShift(ps *peerState) uint {
+	r := ps.probeRounds
+	if c := ep.sys.Opt.backoffCap(); r > c {
+		r = c
+	}
+	return uint(r)
 }
 
 // keepAlive sends a probe to any peer with long-unacknowledged traffic; the
@@ -401,14 +545,7 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 			continue
 		}
 		ps.emptyStreak++
-		r := ps.probeRounds
-		if c := o.backoffCap(); r > c {
-			r = c
-		}
-		if ps.emptyStreak < o.keepAlivePolls()<<uint(r) {
-			continue
-		}
-		if r > 0 && ep.node.Eng.Now() < ps.nextProbeAt {
+		if !ep.probeDue(ps, ps.emptyStreak, ep.node.Eng.Now()) {
 			continue
 		}
 		if !o.deathDisabled() && ps.probeRounds >= o.deathThreshold() {
@@ -423,8 +560,8 @@ func (ep *Endpoint) keepAlive(p *sim.Proc) {
 				met.backoffs.Inc()
 			}
 		}
+		ps.nextProbeAt = ep.node.Eng.Now() + ep.rto(ps)<<ep.probeShift(ps)
 		ps.probeRounds++
-		ps.nextProbeAt = ep.node.Eng.Now() + ep.rto(ps)<<uint(r)
 		ep.sendCtrl(p, id, kProbe, 0, chReq)
 	}
 }

@@ -65,7 +65,7 @@ func (ep *Endpoint) Store(p *sim.Proc, dst int, raddr hw.Addr, data []byte, h Ha
 	// completed (and was reused) while we polled. Failed records are never
 	// recycled, so the flag check below is race-free.
 	for op.gen == g && !op.acked && !op.failed {
-		ep.Poll(p)
+		ep.PollUntil(p, sim.Forever)
 	}
 	if op.gen == g && op.failed {
 		return ep.PeerErr(dst)
@@ -127,7 +127,7 @@ func (ep *Endpoint) Get(p *sim.Proc, dst int, raddr hw.Addr, laddr hw.Addr, nbyt
 		return err
 	}
 	for op.gen == g && !op.done && !op.failed {
-		ep.Poll(p)
+		ep.PollUntil(p, sim.Forever)
 	}
 	if op.gen == g && op.failed {
 		return ep.PeerErr(dst)
@@ -216,7 +216,7 @@ func (ep *Endpoint) sendShortBlocking(p *sim.Proc, dst int, m msg, buildCost sim
 	ticket := tc.q.Pushed()
 	ep.drainPeer(p, dst)
 	for tc.q.Popped() < ticket {
-		ep.Poll(p)
+		ep.PollUntil(p, sim.Forever)
 	}
 }
 
@@ -364,15 +364,7 @@ func (ep *Endpoint) injectBulkChunks(p *sim.Proc, dst int, tc *txChan, op *bulkO
 	ad := ep.node.Adapter
 	pushed := false
 	for op.sent < op.total || (op.total == 0 && !op.injected) {
-		rem := op.total - op.sent
-		chunkBytes := rem
-		if chunkBytes > ChunkBytes {
-			chunkBytes = ChunkBytes
-		}
-		pkts := (chunkBytes + hw.PacketDataSize - 1) / hw.PacketDataSize
-		if pkts == 0 {
-			pkts = 1 // zero-byte store: a single header-only packet
-		}
+		chunkBytes, pkts := op.nextChunk()
 		if tc.inFlight()+uint64(pkts) > uint64(tc.wnd) || ad.SendSpace() < pkts {
 			return pushed
 		}
@@ -424,6 +416,36 @@ func (ep *Endpoint) injectBulkChunks(p *sim.Proc, dst int, tc *txChan, op *bulkO
 		}
 	}
 	return pushed
+}
+
+// nextChunk sizes op's next chunk: its bytes and packets.
+func (op *bulkOp) nextChunk() (bytes, pkts int) {
+	bytes = op.total - op.sent
+	if bytes > ChunkBytes {
+		bytes = ChunkBytes
+	}
+	pkts = (bytes + hw.PacketDataSize - 1) / hw.PacketDataSize
+	if pkts == 0 {
+		pkts = 1 // zero-byte store: a single header-only packet
+	}
+	return bytes, pkts
+}
+
+// windowStalled reports whether drainPeer has nothing to inject on tc before
+// an acknowledgement opens the window: no retransmission is pending, and the
+// queue is empty or its head needs more window than is open.
+func (tc *txChan) windowStalled() bool {
+	if tc.retx.Len() != 0 {
+		return false
+	}
+	if tc.q.Len() == 0 {
+		return true
+	}
+	need := 1
+	if op := tc.q.Peek(); !op.isShort {
+		_, need = op.bulk.nextChunk()
+	}
+	return tc.inFlight()+uint64(need) > uint64(tc.wnd)
 }
 
 // injectSaved retransmits one saved packet (charging rebuild costs).

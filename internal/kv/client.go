@@ -277,7 +277,7 @@ func (cl *client) run(p *sim.Proc, n *hw.Node) {
 		if cl.finished >= cl.budget {
 			break
 		}
-		cl.ep.Poll(p)
+		cl.ep.PollUntil(p, cl.pollDeadline())
 	}
 	cl.st.FinishAt = p.Now()
 	// Announce completion so the servers can quiesce; a server already
@@ -290,6 +290,32 @@ func (cl *client) run(p *sim.Proc, n *hw.Node) {
 		cl.ep.Request(p, srv, cl.svc.hDone, uint32(cl.idx))
 	}
 	cl.ep.Drain(p, 0)
+}
+
+// pollDeadline is the earliest time the run loop has work of its own after
+// an idle poll, the deadline of its PollUntil: the next arrival (while a
+// slot is free and budget remains), the earliest lock retry, or the front
+// batch-flush deadline; sim.Forever when none is pending. Work queued for
+// the loop's next pass — a phase advance marked ready after the ready
+// drain (a cache hit in startOp) or a deferred dispatch — returns 0, a
+// single poll.
+func (cl *client) pollDeadline() sim.Time {
+	if cl.ready.Len() > 0 || cl.bready.Len() > 0 || cl.defq.Len() > 0 || cl.bdefq.Len() > 0 {
+		return 0
+	}
+	until := sim.Forever
+	if cl.issued < cl.budget && cl.free.Len() > 0 {
+		until = cl.nextAt
+	}
+	if cl.retryq.Len() > 0 && cl.retryq.Min().at < until {
+		until = cl.retryq.Min().at
+	}
+	if cl.armq.Len() > 0 {
+		if d := cl.batches[*cl.armq.Peek()].deadline; d < until {
+			until = d
+		}
+	}
+	return until
 }
 
 // startOp consumes the next scheduled arrival. The draw order (gap, op,

@@ -64,7 +64,9 @@ func newServer(svc *Service, id int, ep *am.Endpoint) *server {
 // fail-stopped server detaches at its next Poll.
 func (s *server) run(p *sim.Proc, n *hw.Node) {
 	for s.done < s.svc.cfg.ClientNodes {
-		s.ep.Poll(p)
+		// Only handlers queue invalidations or announce completion, so the
+		// loop has nothing to do after an idle poll.
+		s.ep.PollUntil(p, sim.Forever)
 		s.drainInvals(p)
 	}
 	s.drainInvals(p)

@@ -155,8 +155,24 @@ func (c *Comm) replyFrees(p *sim.Proc, tok am.Token, src, absOff, ln int) {
 // progress drives everything that cannot run in handler context: it polls
 // the AM layer, issues rendezvous stores whose CTS has arrived, and ages
 // out batched frees so a space-starved sender cannot wedge.
-func (c *Comm) progress(p *sim.Proc) {
-	c.ep.Poll(p)
+func (c *Comm) progress(p *sim.Proc) { c.progressUntil(p, 0) }
+
+// progressUntil is a run of progress calls folded into one: its poll is a
+// PollUntil, and every idle poll counts as one call. An idle poll runs no
+// handler, so the calls it stands for would have found no CTS to act on —
+// unless one was already pending, which limits the run to one poll — and
+// would have flushed frees only on a 64th call, where the run is made to
+// stop by capping until at that call's poll.
+func (c *Comm) progressUntil(p *sim.Proc, until sim.Time) {
+	if len(c.pendCTS) > 0 {
+		until = 0
+	} else if c.freesPending() {
+		flushAt := p.Now() + sim.Time(64-c.tick%64)*am.PollEmptyCost()
+		if flushAt < until {
+			until = flushAt
+		}
+	}
+	polls := c.ep.PollUntil(p, until)
 	for len(c.pendCTS) > 0 {
 		pc := c.pendCTS[0]
 		c.pendCTS = c.pendCTS[1:]
@@ -168,10 +184,20 @@ func (c *Comm) progress(p *sim.Proc) {
 			req.err = c.peerError(req.dst, err)
 		}
 	}
-	c.tick++
+	c.tick += polls
 	if c.tick%64 == 0 {
 		for src := 0; src < c.Size(); src++ {
 			c.flushFreesTo(p, src)
 		}
 	}
+}
+
+// freesPending reports whether any batched free awaits its flush.
+func (c *Comm) freesPending() bool {
+	for _, fs := range c.pendFrees {
+		if len(fs) > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -291,15 +291,21 @@ func (c *Comm) Recv(p *sim.Proc, buf []byte, src, tag int) (Status, error) {
 // Wait blocks until req completes, driving the progress engine — or until
 // the operation can provably never complete (peer dead, communicator
 // aborted, deadline passed), in which case it returns the typed error
-// instead of spinning forever. The error is sticky on the request.
+// instead of spinning forever. The error is sticky on the request. Only
+// handlers complete or fail a request, so the progress calls between two
+// checks fold into one progressUntil bounded by the deadline.
 func (c *Comm) Wait(p *sim.Proc, req *Request) (Status, error) {
+	until := sim.Forever
+	if c.deadline > 0 {
+		until = c.deadline
+	}
 	for !req.done {
 		if err := c.waitErr(req); err != nil {
 			req.err = err
 			c.cancel(req)
 			return req.status, err
 		}
-		c.progress(p)
+		c.progressUntil(p, until)
 	}
 	return req.status, nil
 }

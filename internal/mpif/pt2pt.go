@@ -78,9 +78,13 @@ func (c *Comm) matchPosted(src, tag int) *Request {
 }
 
 // progress drains the control plane and completes in-flight rendezvous
-// receives.
-func (c *Comm) progress(p *sim.Proc) {
-	for c.ep.Probe(p, mpl.AnySource, ctlTag) {
+// receives. Its first probe is a ProbeUntil: a run of idle polls up to until
+// stands for a run of progress calls that each found no control message
+// and, once a first call has completed every finished receive, nothing
+// else to do.
+func (c *Comm) progress(p *sim.Proc, until sim.Time) {
+	for c.ep.ProbeUntil(p, mpl.AnySource, ctlTag, until) {
+		until = 0
 		n, src, _ := c.ep.Recv(p, mpl.AnySource, ctlTag, c.scratch[:])
 		kind, tag, size, rdvID := readHdr(c.scratch[:])
 		switch kind {
@@ -148,6 +152,13 @@ func (c *Comm) shipData(p *sim.Proc, dst int, rdvID uint32) {
 // data still queued would let the caller enter a long computation phase
 // during which no packet moves — the 16-node NAS exchange stall.
 func (c *Comm) Wait(p *sim.Proc, req *Request) (mpi.Status, error) {
+	deadline := sim.Forever
+	if c.deadline > 0 {
+		deadline = c.deadline
+	}
+	// The first call polls once, so a receive that finished before Wait is
+	// completed right after it, as a single-poll progress would.
+	var until sim.Time
 	for !req.done || (req.sendH != nil && !req.sendH.Injected()) {
 		if c.deadline > 0 && c.node().Eng.Now() >= c.deadline {
 			peer := -1
@@ -158,7 +169,8 @@ func (c *Comm) Wait(p *sim.Proc, req *Request) (mpi.Status, error) {
 			}
 			return req.status, &mpi.Error{Code: mpi.ErrTimeout, Rank: c.Rank(), Peer: peer}
 		}
-		c.progress(p)
+		c.progress(p, until)
+		until = deadline
 	}
 	return req.status, nil
 }

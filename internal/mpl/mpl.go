@@ -83,6 +83,7 @@ func New(c *hw.Cluster) *System {
 		ep.tx = make([]txState, len(c.Nodes))
 		ep.rx = make(map[rxKey]*rxMsg)
 		ep.rxSince = make([]int, len(c.Nodes))
+		ep.idleTickFn = ep.idleTick
 		for i := range ep.tx {
 			ep.tx[i].credit = 1
 		}
@@ -105,6 +106,13 @@ type Endpoint struct {
 	posted     []*postedRecv    // receives waiting for a matching message
 	rxSince    []int            // data packets received per source since last credit
 	pendCommit int
+
+	// Idle-poll state (see pollUntil): idleTickFn is idleTick bound once,
+	// so parking a poll allocates nothing.
+	idleTickFn func() bool
+	idleUntil  sim.Time
+	idleParked int
+	idleClash  bool
 
 	// Stats
 	Sends, Recvs int64
@@ -205,7 +213,7 @@ func (ep *Endpoint) BSend(p *sim.Proc, dst, tag int, data []byte) {
 	for !m.injected {
 		ep.progress(p)
 		if !m.injected {
-			ep.pollOnce(p, nil)
+			ep.pollUntil(p, sim.Forever)
 		}
 	}
 }
@@ -223,7 +231,7 @@ func (ep *Endpoint) SendsDrained() bool {
 // DrainSends drives the library until every queued send has been injected.
 func (ep *Endpoint) DrainSends(p *sim.Proc) {
 	for !ep.SendsDrained() {
-		ep.pollOnce(p, nil)
+		ep.pollUntil(p, sim.Forever)
 	}
 }
 
@@ -243,7 +251,7 @@ func (ep *Endpoint) Recv(p *sim.Proc, src, tag int, buf []byte) (int, int, int) 
 	pr := &postedRecv{src: src, tag: tag, buf: buf}
 	ep.posted = append(ep.posted, pr)
 	for pr.msg == nil || !pr.msg.done {
-		ep.pollOnce(p, nil)
+		ep.pollUntil(p, sim.Forever)
 	}
 	ep.node.ComputeUnscaled(p, costMatch)
 	m := pr.msg
@@ -301,7 +309,25 @@ func (h *RecvHandle) Complete(p *sim.Proc) (int, int, int) {
 // Probe reports whether a matching message has arrived without receiving
 // it, polling once.
 func (ep *Endpoint) Probe(p *sim.Proc, src, tag int) bool {
-	ep.pollOnce(p, nil)
+	ep.pollUntil(p, 0)
+	return ep.arrived(src, tag)
+}
+
+// ProbeUntil is Probe repeated for as long as it would report false after
+// an idle poll (see idle) with the clock below until: it returns after the
+// first poll that does any work or ends at or past until. A loop that only
+// probes while nothing arrives may call it in place of Probe.
+func (ep *Endpoint) ProbeUntil(p *sim.Proc, src, tag int, until sim.Time) bool {
+	if ep.arrived(src, tag) {
+		until = 0 // Probe reports true after the first poll whatever it finds
+	}
+	ep.pollUntil(p, until)
+	return ep.arrived(src, tag)
+}
+
+// arrived reports whether a message matching (src, tag) waits in the
+// unexpected queue.
+func (ep *Endpoint) arrived(src, tag int) bool {
 	for _, m := range ep.unexpected {
 		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
 			return true
@@ -397,12 +423,31 @@ func (ep *Endpoint) commit(p *sim.Proc, force bool) {
 	}
 }
 
-// pollOnce drains the receive FIFO once, reassembling messages, issuing
-// credits, and driving pending sends. If completed is non-nil it is invoked
-// for each message that finishes arriving. Every popped packet goes back to
-// the node's pool once its payload has been copied out.
-func (ep *Endpoint) pollOnce(p *sim.Proc, completed func(*rxMsg)) {
-	ep.node.ComputeUnscaled(p, ep.callCost(costPollEmpty))
+// pollUntil polls once: it drains the receive FIFO, reassembling messages,
+// issuing credits, and driving pending sends. Every popped packet goes back
+// to the node's pool once its payload has been copied out. With until ahead
+// of the clock it keeps polling for as long as each poll is idle (see idle)
+// and the clock is below until; the idle polls run as one AdvanceWhile, so
+// the process is not resumed between them. That is exactly a loop of single
+// polls for any caller whose loop does nothing else after an idle poll
+// while the clock is below until.
+func (ep *Endpoint) pollUntil(p *sim.Proc, until sim.Time) {
+	if cost := ep.callCost(costPollEmpty); until <= ep.node.Eng.Now()+cost {
+		ep.node.ComputeUnscaled(p, cost) // no idle poll can follow this one
+	} else {
+		// A second process starting an idle run while one is parked here
+		// stops every idle run until both have left (see am's
+		// Endpoint.pollEmpty).
+		if ep.idleParked > 0 {
+			ep.idleClash = true
+		}
+		ep.idleParked++
+		ep.idleUntil = until
+		p.AdvanceWhile(cost, ep.idleTickFn)
+		if ep.idleParked--; ep.idleParked == 0 {
+			ep.idleClash = false
+		}
+	}
 	ad := ep.node.Adapter
 	for {
 		pkt := ad.RecvPeek()
@@ -459,14 +504,38 @@ func (ep *Endpoint) pollOnce(p *sim.Proc, completed func(*rxMsg)) {
 						ep.unexpected = append(ep.unexpected, m)
 					}
 				}
-				if completed != nil {
-					completed(m)
-				}
 			}
 		}
 		ep.node.Pool.Put(pkt)
 	}
 	ep.progress(p)
+}
+
+// idleTick runs when a poll's cost has elapsed and reports whether the
+// process may stay parked for another poll: the clock is below the deadline
+// and the poll is idle, so its remainder would do nothing.
+func (ep *Endpoint) idleTick() bool {
+	return !ep.idleClash && ep.node.Eng.Now() < ep.idleUntil && ep.idle()
+}
+
+// idle reports whether finishing the current poll now would do nothing:
+// the receive FIFO is empty, no staged entry awaits commit, and progress
+// would inject nothing — every send queue is empty or waits for a message
+// credit, up to the first one stalled on the packet window, where progress
+// stops. A queue stalled on send-FIFO space is not idle: the FIFO drains
+// without the host's help.
+func (ep *Endpoint) idle() bool {
+	if ep.node.Adapter.RecvLen() != 0 || ep.pendCommit != 0 {
+		return false
+	}
+	for dst := range ep.tx {
+		ts := &ep.tx[dst]
+		if ts.q.Len() == 0 || ts.credit == 0 {
+			continue
+		}
+		return ep.node.Adapter.SendSpace() != 0 && ts.pktAhead >= pktWindow
+	}
+	return true
 }
 
 func (ep *Endpoint) sendCredit(p *sim.Proc, dst int) {

@@ -180,3 +180,19 @@ func BenchmarkCondSignalPingPong(b *testing.B) {
 	e.RunAll()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
+
+// BenchmarkProcAdvanceWhile measures the self-re-arming wakeup: each op is
+// one AdvanceWhile period — a schedule, a heap pop and the again call, run
+// inline in the event loop with no process switch.
+func BenchmarkProcAdvanceWhile(b *testing.B) {
+	e := NewEngine(1)
+	n := 0
+	again := func() bool {
+		n++
+		return n < b.N
+	}
+	e.Go("p", func(p *Proc) { p.AdvanceWhile(1, again) })
+	b.ReportAllocs()
+	e.RunAll()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}

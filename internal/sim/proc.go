@@ -26,6 +26,13 @@ type Proc struct {
 	// can hold in registers (see the event comment in sim.go).
 	wakeFn func()
 
+	// gateFn, also allocated once at spawn, is the wakeup event of
+	// AdvanceWhile: it asks again whether to stay parked and either
+	// re-pushes itself gateD later or wakes the proc as wakeFn would.
+	gateFn func()
+	gateD  Time
+	again  func() bool
+
 	// next resumes the body from the dispatcher (Engine.dispatch); yield,
 	// called by the body in Engine.exec, suspends it and returns control
 	// there.
@@ -92,6 +99,41 @@ func (p *Proc) Advance(d Time) {
 	}
 	p.eng.schedule(p, p.eng.now+d)
 	p.park()
+}
+
+// AdvanceWhile charges d like Advance(d), then keeps charging d for as long
+// as again reports true, without resuming the process in between: each time
+// the wakeup fires, again runs inline in the event loop and, on true,
+// re-pushes the wakeup d later. That push is exactly the one the process
+// would have made by returning from Advance(d) and calling it once more
+// before anything else ran, so event keys, EventsRun and the order of every
+// other event stay what the loop
+//
+//	for { p.Advance(d); if !again() { break } }
+//
+// would produce. again therefore stands for everything that loop body does
+// between two Advance calls; it must not park, and it must return false
+// rather than act when the process itself has work to do. It runs on the
+// proc's own engine (its shard, in a Group).
+func (p *Proc) AdvanceWhile(d Time, again func() bool) {
+	if d < 0 {
+		d = 0
+	}
+	p.gateD = d
+	p.again = again
+	p.eng.push(p.eng.now+d, p.gateFn)
+	p.park()
+	p.again = nil
+}
+
+// gate is the AdvanceWhile wakeup (see gateFn).
+func (p *Proc) gate() {
+	e := p.eng
+	if p.again() {
+		e.push(e.now+p.gateD, p.gateFn)
+		return
+	}
+	e.wake = p
 }
 
 // Yield lets all already-scheduled same-time events run before continuing.

@@ -28,6 +28,10 @@ import (
 // simulation.
 type Time int64
 
+// Forever is a time beyond any simulated horizon: the deadline of a wait
+// that has none.
+const Forever = maxTime
+
 // Microseconds reports t as a floating-point number of microseconds, the
 // natural unit of the paper's measurements.
 func (t Time) Microseconds() float64 { return float64(t) / 1e3 }
@@ -510,6 +514,7 @@ func (e *Engine) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 		daemon: daemon,
 	}
 	p.wakeFn = func() { e.wake = p }
+	p.gateFn = p.gate
 	p.start(fn)
 	e.procs = append(e.procs, p)
 	if !daemon {

@@ -148,12 +148,20 @@ func (t *mplTransport) Store(p *sim.Proc, dst, roff int, data []byte) {
 
 // Poll services every message currently deliverable, dispatching the
 // Split-C/MPL protocol.
-func (t *mplTransport) Poll(p *sim.Proc) {
+func (t *mplTransport) Poll(p *sim.Proc) { t.poll(p, 0) }
+
+// PollWait is Poll whose first probe repeats while idle (see
+// mpl.Endpoint.ProbeUntil): an idle probe finds no message, so a Poll made
+// of it dispatches nothing.
+func (t *mplTransport) PollWait(p *sim.Proc) { t.poll(p, sim.Forever) }
+
+func (t *mplTransport) poll(p *sim.Proc, until sim.Time) {
 	ep := t.ep
 	for {
-		if !ep.Probe(p, mpl.AnySource, mpl.AnyTag) {
+		if !ep.ProbeUntil(p, mpl.AnySource, mpl.AnyTag, until) {
 			return
 		}
+		until = 0
 		n, src, tag := ep.Recv(p, mpl.AnySource, mpl.AnyTag, t.scratch)
 		h0 := binary.LittleEndian.Uint64(t.scratch[0:])
 		h1 := binary.LittleEndian.Uint64(t.scratch[8:])

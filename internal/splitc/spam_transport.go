@@ -121,6 +121,8 @@ func (t *spamTransport) SetCtlHandler(fn func(p *sim.Proc, src int, a, b uint64)
 
 func (t *spamTransport) Poll(p *sim.Proc) { t.ep.Poll(p) }
 
+func (t *spamTransport) PollWait(p *sim.Proc) { t.ep.PollUntil(p, sim.Forever) }
+
 func (t *spamTransport) Compute(p *sim.Proc, d sim.Time) { t.ep.Node().Compute(p, d) }
 
 func (t *spamTransport) Ctl(p *sim.Proc, dst int, a, b uint64) {

@@ -23,6 +23,13 @@ type Transport interface {
 	// control handler.
 	Poll(p *sim.Proc)
 
+	// PollWait is Poll for blocking runtime loops whose condition only
+	// completion callbacks, the control handler or a peer death can change:
+	// it polls once and may keep polling while polls find nothing to do,
+	// exactly as the loop would have. A transport without idle-poll support
+	// polls once.
+	PollWait(p *sim.Proc)
+
 	// Ctl sends a small one-way control message (two 64-bit words) used by
 	// the runtime for barriers and reductions; the receiver's installed
 	// handler runs during its Poll.
